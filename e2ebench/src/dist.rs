@@ -10,7 +10,7 @@
 
 use crate::check;
 use crate::layers::{Attribution, FRAMES};
-use crate::report::{median, peak_rss_mb, per_step_medians, quantile, Metrics};
+use crate::report::{median, peak_rss_mb, per_step_minima, quantile, Metrics};
 use crate::serial::{kernel_metrics, operator_metrics, step_count_metrics};
 use crate::{artifact_dir, Opts, Outcome};
 use mpisim::stats::{Category, Stats};
@@ -239,7 +239,7 @@ fn timed(opts: &Opts) -> Outcome {
         out.failures.extend(r.failures.iter().cloned());
     }
     let repeats: Vec<&[f64]> = runs.iter().map(|r| r.step_s.as_slice()).collect();
-    let steps = per_step_medians(&repeats);
+    let steps = per_step_minima(&repeats);
     let samples: usize = repeats.iter().map(|r| r.len()).sum();
     let m = &mut out.metrics;
     m.put("s_per_fs", steps.iter().sum::<f64>() / fs(), "s");
@@ -248,8 +248,8 @@ fn timed(opts: &Opts) -> Outcome {
     m.put("setup_s", median(&setup_s), "s");
     m.put("peak_rss_mb", peak_rss_mb(), "MiB");
     out.notes = format!(
-        "{} cluster runs of {STEPS} steps ({:.4} fs) on {RANKS} ranks, {samples} step samples, \
-         {} setups\n",
+        "{} cluster runs of {STEPS} steps ({:.4} fs) on {RANKS} ranks, {samples} step samples \
+         (each step timed by its fastest repeat), {} setups\n",
         runs.len(),
         fs(),
         setup_s.len()

@@ -86,19 +86,20 @@ pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
 }
 
-/// Each step index's median wall time across repeats of a trajectory
-/// (indices no repeat reached are skipped). Quantiles over these give the
-/// trajectory's step-cost profile with run-to-run noise damped.
-pub fn per_step_medians(repeats: &[&[f64]]) -> Vec<f64> {
+/// Each step index's fastest wall time across repeats of a trajectory
+/// (indices no repeat reached are skipped). Every repeat of a step does
+/// the same work, so host contention only adds time: the fastest repeat
+/// is the step's cost with the least contention seen, and a burst that
+/// slows some repeats does not move it. Quantiles over these give the
+/// trajectory's step-cost profile.
+pub fn per_step_minima(repeats: &[&[f64]]) -> Vec<f64> {
     let len = repeats.iter().map(|r| r.len()).max().unwrap_or(0);
     (0..len)
         .map(|k| {
-            median(
-                &repeats
-                    .iter()
-                    .filter_map(|r| r.get(k).copied())
-                    .collect::<Vec<_>>(),
-            )
+            repeats
+                .iter()
+                .filter_map(|r| r.get(k).copied())
+                .fold(f64::INFINITY, f64::min)
         })
         .collect()
 }
@@ -126,7 +127,7 @@ mod tests {
         let a = [1.0, 5.0, 2.0];
         let b = [3.0, 4.0];
         let c = [2.0, 6.0];
-        assert_eq!(per_step_medians(&[&a, &b, &c]), vec![2.0, 5.0, 2.0]);
+        assert_eq!(per_step_minima(&[&a, &b, &c]), vec![1.0, 4.0, 2.0]);
     }
 
     #[test]

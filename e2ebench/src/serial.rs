@@ -2,12 +2,12 @@
 //! cell under PT-IM-ACE, in fp64 (`si8_ace_fp64`) or mixed precision
 //! (`si8_ace_mixed`), driven through `ptim::resilience::run` with a
 //! checkpoint every 10 steps and one restart from `Checkpoint::load_latest`
-//! halfway.
+//! at the checkpoint of step 10.
 
 use crate::check;
 use crate::kernel::{Family, KernelTimer};
 use crate::layers::Attribution;
-use crate::report::{median, peak_rss_mb, per_step_medians, quantile, Metrics};
+use crate::report::{median, peak_rss_mb, per_step_minima, quantile, Metrics};
 use crate::{artifact_dir, Opts, Outcome};
 use ptim::laser::AU_TIME_AS;
 use ptim::resilience::{self, RunReport};
@@ -25,12 +25,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Propagator steps in one trajectory (1 fs at 50 as).
-const STEPS: u64 = 20;
+/// Propagator steps in one trajectory (0.6 fs at 50 as). Short enough
+/// that each run times every step in four trajectories: a step's fastest
+/// repeat is what holds still on a shared host.
+const STEPS: u64 = 12;
 /// Checkpoint cadence of `resilience::run`.
 const CKPT_INTERVAL: u64 = 10;
 /// The step at which the in-memory state is dropped and the run resumes
-/// from the newest checkpoint.
+/// from the newest checkpoint (the one just written there).
 const RESTART_AT: u64 = 10;
 /// Time step, attoseconds.
 const DT_AS: f64 = 50.0;
@@ -243,7 +245,8 @@ pub fn run(name: &'static str, precision: PrecisionPolicy, opts: &Opts) -> Outco
 
 /// The end-to-end run: set up `opts.setups` times, then repeat the
 /// trajectory until `opts.seconds` of it have been measured, and at
-/// least `opts.min_repeats` times.
+/// least `opts.min_repeats` times. Stepping is timed per step by its
+/// fastest repeat; `setup_s` is the median set-up.
 fn timed(spec: &Serial, opts: &Opts) -> Outcome {
     let sys = system();
     let mut setup_s = Vec::new();
@@ -272,11 +275,12 @@ fn timed(spec: &Serial, opts: &Opts) -> Outcome {
         out.failures.extend(failures);
     }
     let repeats: Vec<&[f64]> = runs.iter().map(|t| t.step_s.as_slice()).collect();
-    let steps = per_step_medians(&repeats);
+    // Each step's fastest repeat: contention on a shared host comes in
+    // bursts of seconds, which a per-trajectory total carries whole and a
+    // per-step median of two repeats at half weight.
+    let steps = per_step_minima(&repeats);
     let samples: usize = repeats.iter().map(|r| r.len()).sum();
-    // Each step's median across repeats damps intermittent host slowdowns
-    // that a per-trajectory total would carry whole.
-    let restore_s = median(&runs.iter().map(|t| t.restore_s).collect::<Vec<_>>());
+    let restore_s = runs.iter().map(|t| t.restore_s).fold(f64::INFINITY, f64::min);
     let s_per_fs = (steps.iter().sum::<f64>() + restore_s) / FS;
     let m = &mut out.metrics;
     m.put("s_per_fs", s_per_fs, "s");
@@ -291,9 +295,12 @@ fn timed(spec: &Serial, opts: &Opts) -> Outcome {
         .map(|t| format!("{:.3}", t.s_per_fs()))
         .collect();
     let setups: Vec<String> = setup_s.iter().map(|s| format!("{s:.3}")).collect();
+    let scf_iters: usize = runs[0].stats.iter().map(|s| s.scf_iters).sum();
     out.notes = format!(
-        "{} trajectories of {STEPS} steps ({:.2} fs), {samples} step samples, {} setups\n\
-         s_per_fs by trajectory: {}\nsetup_s by setup: {}\n",
+        "{} trajectories of {STEPS} steps ({:.2} fs), {samples} step samples \
+         (each step timed by its fastest repeat), {} setups\n\
+         s_per_fs by trajectory: {}\nsetup_s by setup: {}\n\
+         inner SCF iterations per trajectory: {scf_iters}\n",
         runs.len(),
         FS,
         setup_s.len(),
@@ -311,11 +318,13 @@ fn child_s_per_fs(stdout: &str) -> Option<f64> {
     rest[..rest.find([',', '}'])?].trim().parse().ok()
 }
 
-/// The 1-thread baseline: the same workload and seed in a child process,
-/// since the kernel thread count is fixed once per process.
-fn one_thread_s_per_fs(spec: &Serial, opts: &Opts) -> Result<f64, String> {
+/// Untraced `s_per_fs` of the same workload and seed at `threads` kernel
+/// threads, from a child process, since the kernel thread count is fixed
+/// once per process.
+fn child_run_s_per_fs(spec: &Serial, opts: &Opts, threads: usize) -> Result<f64, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let seed = opts.seed.to_string();
+    let threads = threads.to_string();
     let out = std::process::Command::new(exe)
         .args([
             "--workload",
@@ -327,18 +336,31 @@ fn one_thread_s_per_fs(spec: &Serial, opts: &Opts) -> Result<f64, String> {
             "--trace",
             "0",
         ])
-        .args(["--threads", "1", "--setups", "1", "--repeats", "1"])
+        .args(["--threads", &threads, "--setups", "1", "--repeats", "1"])
         .output()
-        .map_err(|e| format!("1-thread baseline: {e}"))?;
+        .map_err(|e| format!("{threads}-thread baseline: {e}"))?;
     let stdout = String::from_utf8_lossy(&out.stdout);
     if !out.status.success() {
-        return Err(format!("1-thread baseline exited with {}", out.status));
+        return Err(format!("{threads}-thread baseline exited with {}", out.status));
     }
-    child_s_per_fs(&stdout).ok_or_else(|| "1-thread baseline printed no s_per_fs".to_owned())
+    child_s_per_fs(&stdout)
+        .ok_or_else(|| format!("{threads}-thread baseline printed no s_per_fs"))
 }
 
-/// The traced run: per-layer metrics, with the untraced trajectory and
-/// the 1-thread rerun as baselines.
+/// `pwnum.thread_speedup`: 1-thread ÷ multi-thread `s_per_fs`, with this
+/// process's untraced trajectories (`untraced`, at `opts.threads`) on one
+/// side and a child run on the other: at nproc threads when this process
+/// runs one, else at one.
+fn thread_speedup(spec: &Serial, opts: &Opts, untraced: f64) -> Result<f64, String> {
+    if opts.threads == 1 {
+        Ok(untraced / child_run_s_per_fs(spec, opts, crate::env::nproc())?)
+    } else {
+        Ok(child_run_s_per_fs(spec, opts, 1)? / untraced)
+    }
+}
+
+/// The traced run: per-layer metrics, with the untraced trajectories and
+/// the child run of the other thread count as baselines.
 fn traced_run(spec: &Serial, opts: &Opts) -> Outcome {
     let sys = system();
     let (gs, lda_s, hyb_s) = prepare(&sys, opts.seed);
@@ -367,8 +389,8 @@ fn traced_run(spec: &Serial, opts: &Opts) -> Outcome {
         out.failed += (failures.len() as u64).min(t.attempted);
         out.failures.extend(failures);
     }
-    let thread_speedup = match one_thread_s_per_fs(spec, opts) {
-        Ok(s1) => s1 / untraced_s_per_fs,
+    let thread_speedup = match thread_speedup(spec, opts, untraced_s_per_fs) {
+        Ok(x) => x,
         Err(e) => {
             out.failures.push(e);
             out.failed += 1;
