@@ -5,8 +5,8 @@
 //! *band index*; overlap matrices are formed by transposing to
 //! *grid-point* distribution with `MPI_Alltoallv` and reducing partial
 //! N×N products with `MPI_Allreduce`. The distributed Fock exchange
-//! circulates source bands among ranks with one of the paper's three
-//! strategies:
+//! circulates source bands among ranks with one of the paper's
+//! strategies (the Fig. 5 / Table I labels):
 //!
 //! * [`ExchangeStrategy::Bcast`] — baseline: every band block is
 //!   broadcast from its owner (Fig. 5a);
@@ -15,13 +15,19 @@
 //! * [`ExchangeStrategy::AsyncRing`] — nonblocking rotation overlapping
 //!   the Poisson solves with communication (`MPI_Isend/Irecv/Wait`,
 //!   Fig. 5c);
-//! * [`ExchangeStrategy::RingOverlap`] — the hierarchical subsystem's
-//!   ring-pipelined exchange ([`crate::grid2d`]): double-buffered
-//!   `isend`/`irecv` posted before the pair-tile solves, `MPI_Test`-style
-//!   progress probes between tiles, solves routed through the batched
-//!   pair schedulers (symmetric halving + precision policy), and the
-//!   hidden/visible transfer split recorded as the overlap-efficiency
-//!   metric ([`mpisim::Stats::overlap_efficiency`]).
+//! * [`ExchangeStrategy::RingOverlap`] — the same label the hierarchical
+//!   subsystem ([`crate::grid2d`]) uses for its ring-pipelined exchange.
+//!
+//! Two implementations back the four labels. `Bcast` and `Ring` move
+//! blocks with blocking collectives; `AsyncRing` and `RingOverlap` both
+//! run [`crate::grid2d::ring_overlap_fock_apply`]: double-buffered
+//! `isend`/`irecv` posted before the pair-tile solves, `MPI_Test`-style
+//! progress probes between tiles, and the hidden/visible transfer split
+//! recorded as the overlap-efficiency metric
+//! ([`mpisim::Stats::overlap_efficiency`]). Every strategy computes a
+//! block through the operator's own apply, so the pair schedule
+//! ([`pwdft::FockOperator::pair_schedule`]), screening and precision
+//! policy are the serial operator's.
 //!
 //! All strategies produce the same physics (unit-tested against the serial
 //! code); they differ in which timing category the virtual clock charges —
@@ -30,6 +36,9 @@
 //! footprint to `1/ranks-per-node`.
 
 use crate::engine::HybridParams;
+use crate::grid2d::{
+    process_block_banded, progress, ring_overlap_fock_apply, ProcessGrid, RingOverlapReport,
+};
 use crate::laser::{external_potential, sawtooth_x, LaserPulse};
 use crate::propagate::{density_residual, StepStats};
 use crate::state::TdState;
@@ -52,7 +61,8 @@ pub enum ExchangeStrategy {
     Bcast,
     /// Synchronous ring rotation (Fig. 5b).
     Ring,
-    /// Asynchronous ring with communication/computation overlap (Fig. 5c).
+    /// Asynchronous ring with communication/computation overlap
+    /// (Fig. 5c); runs the same pipeline as [`Self::RingOverlap`].
     AsyncRing,
     /// Ring-pipelined overlapped exchange via the hierarchical
     /// [`crate::grid2d`] subsystem: transfers posted before each block's
@@ -313,19 +323,31 @@ pub fn dist_density(
 /// the (natural-orbital) source bands with the chosen strategy. Returns
 /// the result in real space.
 ///
+/// Every strategy computes a block the same way: the operator's own
+/// apply over the block ([`crate::grid2d`]'s banded block kernel), so
+/// the pair schedule ([`FockOperator::pair_schedule`]), occupation
+/// screening and the [`FockOptions`](pwdft::FockOptions) precision
+/// policy are the serial operator's. The strategies differ only in how
+/// blocks move:
+///
+/// * `Bcast` — each owner broadcasts its block in turn (Fig. 5a);
+/// * `Ring` — blocking `sendrecv` rotation (Fig. 5b);
+/// * `AsyncRing` and `RingOverlap` — one implementation,
+///   [`crate::grid2d::ring_overlap_fock_apply`] on a degenerate 2-D grid
+///   (every rank its own band group): the next block's `isend`/`irecv`
+///   is posted before the current block's solves, probed between pair
+///   tiles, and completed with `wait` (Fig. 5c).
+///
 /// When the local targets *alias* the local source block (pass the
 /// same slice for `nat_r_local` and `psi_r_local` — the self-applied
 /// case a distributed ACE rebuild performs), the diagonal block — the
 /// step where a rank processes its own bands — uses the Hermitian
 /// `i ≤ j` pair halving: both ends of each local pair live on this
 /// rank, so one Poisson solve feeds both accumulators. Off-diagonal
-/// blocks keep the one-sided loop (the swapped contribution belongs to
+/// blocks keep the one-sided pairs (the swapped contribution belongs to
 /// the remote owner). Note [`dist_ptim_step`]'s dense path applies Vx
 /// to *trial* vectors distinct from the natural orbitals, so it stays
-/// on the asymmetric path by construction; the halving engages for
-/// self-applied callers (serial equivalents: `apply_pure`/ACE
-/// rebuilds). Occupation screening follows the operator's
-/// [`FockOptions`](pwdft::FockOptions).
+/// on the asymmetric schedule by construction.
 ///
 /// `plan` is the strategy plus the modeled per-solve compute cost (a
 /// bare [`ExchangeStrategy`] still works and charges nothing); with a
@@ -344,19 +366,10 @@ pub fn dist_fock_apply(
 ) -> Vec<Complex64> {
     let plan: ExchangePlan = plan.into();
     let p = comm.size();
-    let ng = fock.ng();
     let my_rank = comm.rank();
-    let n_local_tgt = psi_r_local.len() / ng;
-    let cutoff = fock.options().occ_cutoff;
-    let symmetric = nat_r_local.as_ptr() == psi_r_local.as_ptr()
-        && nat_r_local.len() == psi_r_local.len();
-
-    if plan.strategy == ExchangeStrategy::RingOverlap {
-        // The hierarchical subsystem's exchange on a degenerate 2-D grid
-        // (every rank its own band group): double-buffered transfers,
-        // tile-level progress probes, batched policy-aware schedulers.
-        let pgrid = crate::grid2d::ProcessGrid::new(p, p);
-        let (out, _report) = crate::grid2d::ring_overlap_fock_apply(
+    if matches!(plan.strategy, ExchangeStrategy::AsyncRing | ExchangeStrategy::RingOverlap) {
+        let pgrid = ProcessGrid::new(p, p);
+        let (out, _report) = ring_overlap_fock_apply(
             comm,
             fock,
             &pgrid,
@@ -370,134 +383,51 @@ pub fn dist_fock_apply(
         return out;
     }
 
+    let symmetric = std::ptr::eq(nat_r_local, psi_r_local);
     let mut out = vec![Complex64::ZERO; psi_r_local.len()];
-    // Pooled on the blocked backend (contents unspecified — fully
-    // rewritten per pair): the ring inner loop stays allocation-free.
-    let mut pair = fock.backend().take_scratch(ng);
-
-    // Returns the number of pair solves the block cost, so the caller
-    // can charge the modeled compute to the virtual clock.
-    let process_block = |block: &[Complex64],
-                         src_rank: usize,
-                         out: &mut [Complex64],
-                         pair: &mut [Complex64]|
-     -> usize {
-        let mut solves = 0usize;
-        let src_range = dist.range(src_rank);
-        if symmetric && src_rank == my_rank {
-            // Diagonal block: i ≤ j halving over the local pair set
-            // (`block` is the circulating copy of the local bands, so
-            // sources and targets are bitwise the same vectors).
-            let nb = src_range.len();
-            for bi in 0..nb {
-                let di = occ[src_range.start + bi];
-                let di_on = di.abs() >= cutoff;
-                let src_i = &block[bi * ng..(bi + 1) * ng];
-                if di_on {
-                    let oi = &mut out[bi * ng..(bi + 1) * ng];
-                    fock.accumulate_pair(src_i, src_i, di, oi, pair);
-                    solves += 1;
-                }
-                for bj in bi + 1..nb {
-                    let dj = occ[src_range.start + bj];
-                    let dj_on = dj.abs() >= cutoff;
-                    if !di_on && !dj_on {
-                        continue;
-                    }
-                    let src_j = &block[bj * ng..(bj + 1) * ng];
-                    let (lo, hi) = out.split_at_mut(bj * ng);
-                    let oi = &mut lo[bi * ng..(bi + 1) * ng];
-                    let oj = &mut hi[..ng];
-                    if di_on && dj_on {
-                        fock.accumulate_pair_sym(src_i, src_j, di, dj, oj, oi, pair);
-                    } else if di_on {
-                        fock.accumulate_pair(src_i, src_j, di, oj, pair);
-                    } else {
-                        fock.accumulate_pair(src_j, src_i, dj, oi, pair);
-                    }
-                    solves += 1;
-                }
-            }
-            return solves;
-        }
-        for (bi, gi) in src_range.clone().enumerate() {
-            let d = occ[gi];
-            if d.abs() < cutoff {
-                continue;
-            }
-            let src_band = &block[bi * ng..(bi + 1) * ng];
-            for j in 0..n_local_tgt {
-                let tgt = &psi_r_local[j * ng..(j + 1) * ng];
-                let oj = &mut out[j * ng..(j + 1) * ng];
-                fock.accumulate_pair(src_band, tgt, d, oj, pair);
-                solves += 1;
-            }
-        }
-        solves
+    let mut report = RingOverlapReport::default();
+    // Nothing is pending on the blocking strategies, so the block's
+    // modeled compute is charged to the virtual clock once, after it.
+    let mut process_block = |comm: &mut Comm, block: &[Complex64], src_rank: usize| {
+        let solves0 = report.solves;
+        process_block_banded(
+            comm,
+            fock,
+            block,
+            &occ[dist.range(src_rank)],
+            psi_r_local,
+            symmetric && src_rank == my_rank,
+            &mut out,
+            0.0,
+            None,
+            &mut report,
+        );
+        let solves = report.solves - solves0;
+        progress(comm, plan.solve_cost_s, solves, None, &mut report);
     };
 
-    // Charges the block's modeled Poisson compute to the virtual clock.
-    let charge = |comm: &mut Comm, solves: usize| {
-        if plan.solve_cost_s > 0.0 && solves > 0 {
-            comm.compute(plan.solve_cost_s * solves as f64);
+    if plan.strategy == ExchangeStrategy::Bcast {
+        // Fig. 5(a): every rank broadcasts its block in turn.
+        for root in 0..p {
+            comm.require_alive(root, "the exchange broadcast");
+            let payload = if my_rank == root { Some(nat_r_local.to_vec()) } else { None };
+            let block = comm.bcast(root, payload);
+            process_block(comm, &block, root);
         }
-    };
-
-    match plan.strategy {
-        ExchangeStrategy::Bcast => {
-            // Fig. 5(a): every rank broadcasts its block in turn.
-            for root in 0..p {
-                comm.require_alive(root, "the exchange broadcast");
-                let payload =
-                    if comm.rank() == root { Some(nat_r_local.to_vec()) } else { None };
-                let block = comm.bcast(root, payload);
-                let solves = process_block(&block, root, &mut out, &mut pair);
-                charge(comm, solves);
+    } else {
+        // Fig. 5(b): synchronous neighbor rotation.
+        let right = (my_rank + 1) % p;
+        let left = (my_rank + p - 1) % p;
+        let mut block = nat_r_local.to_vec();
+        for step in 0..p {
+            process_block(comm, &block, (my_rank + step) % p);
+            if step + 1 < p {
+                comm.require_alive(left, "the exchange ring rotation");
+                comm.require_alive(right, "the exchange ring rotation");
+                block = comm.sendrecv(left, right, 8_000 + step as u64, block);
             }
         }
-        ExchangeStrategy::Ring => {
-            // Fig. 5(b): synchronous neighbor rotation.
-            let right = (comm.rank() + 1) % p;
-            let left = (comm.rank() + p - 1) % p;
-            let mut block = nat_r_local.to_vec();
-            for step in 0..p {
-                let src_rank = (comm.rank() + step) % p;
-                let solves = process_block(&block, src_rank, &mut out, &mut pair);
-                charge(comm, solves);
-                if step + 1 < p {
-                    comm.require_alive(left, "the exchange ring rotation");
-                    comm.require_alive(right, "the exchange ring rotation");
-                    block = comm.sendrecv(left, right, 8_000 + step as u64, block);
-                }
-            }
-        }
-        ExchangeStrategy::AsyncRing => {
-            // Fig. 5(c): post the transfer of the *next* block, compute on
-            // the current one, then wait — overlap hides transfer time.
-            let right = (comm.rank() + 1) % p;
-            let left = (comm.rank() + p - 1) % p;
-            let mut block = nat_r_local.to_vec();
-            for step in 0..p {
-                let src_rank = (comm.rank() + step) % p;
-                let pending = if step + 1 < p {
-                    comm.require_alive(left, "the async exchange ring");
-                    comm.require_alive(right, "the async exchange ring");
-                    let rreq = comm.irecv(right, 9_000 + step as u64);
-                    let _s = comm.isend(left, 9_000 + step as u64, block.clone());
-                    Some(rreq)
-                } else {
-                    None
-                };
-                let solves = process_block(&block, src_rank, &mut out, &mut pair);
-                charge(comm, solves);
-                if let Some(req) = pending {
-                    block = comm.wait(req).expect("ring block");
-                }
-            }
-        }
-        ExchangeStrategy::RingOverlap => unreachable!("handled above"),
     }
-    fock.backend().recycle_buffer(pair);
     out
 }
 
@@ -634,7 +564,9 @@ pub fn dist_ptim_step(
     let (phi_p, sigma_p, rho0) = update(comm, &state.phi_local, &state.sigma, &mut stats);
     let mut next = DistState { phi_local: phi_p, sigma: sigma_p, time: state.time + dt };
     let mut rho_prev = rho0;
-    let mut mixer = AndersonMixer::new(10, 0.6);
+    // The serial step's mixing settings (the paper's history of 20).
+    let mix = crate::ptim::PtimConfig::default();
+    let mut mixer = AndersonMixer::new(mix.anderson_depth, mix.anderson_beta);
 
     for it in 0..max_scf {
         stats.scf_iters = it + 1;
@@ -706,7 +638,8 @@ pub fn dist_ptim_step(
 mod tests {
     use super::*;
     use mpisim::{Cluster, NetworkModel};
-    use pwdft::Cell;
+    use pwdft::{Cell, FockOptions};
+    use pwnum::precision::PrecisionPolicy;
 
     fn fixture() -> (DftSystem, TdState) {
         let sys = DftSystem::with_dims(Cell::silicon_supercell(1, 1, 1), 2.0, [6, 6, 6]);
@@ -786,42 +719,55 @@ mod tests {
     #[test]
     fn all_strategies_match_serial_fock() {
         let (sys, st) = fixture();
-        // Serial reference (diagonalized).
+        // Serial reference (diagonalized), per precision policy: every
+        // strategy must honour the operator's policy, not silently run
+        // fp64.
         let e = eigh(&st.sigma);
         let nat = st.phi.rotated(&e.vectors);
-        let fock = FockOperator::new(&sys.grid, 0.2);
         let nat_r = nat.to_real_all(&sys.fft);
         let phi_r = st.phi.to_real_all(&sys.fft);
-        let serial = fock.apply_diag(&nat_r, &e.values, &phi_r);
         let ng = sys.grid.len();
 
-        for strategy in [
-            ExchangeStrategy::Bcast,
-            ExchangeStrategy::Ring,
-            ExchangeStrategy::AsyncRing,
-            ExchangeStrategy::RingOverlap,
-        ] {
-            let out = Cluster::ideal(2).run(|c| {
-                let dist = BandDistribution::new(4, c.size());
-                let my = dist.range(c.rank());
-                let fock = FockOperator::new(&sys.grid, 0.2);
-                let nat_local_r = nat_r[my.start * ng..my.end * ng].to_vec();
-                let psi_local_r = phi_r[my.start * ng..my.end * ng].to_vec();
-                let vx = dist_fock_apply(
-                    c,
-                    &fock,
-                    &dist,
-                    &nat_local_r,
-                    &e.values,
-                    &psi_local_r,
-                    strategy,
-                );
-                // Compare against the serial slice.
-                let want = &serial[my.start * ng..my.end * ng];
-                pwnum::cvec::max_abs_diff(&vx, want)
-            });
-            for (d, _) in &out {
-                assert!(*d < 1e-9, "{strategy:?}: Fock mismatch {d}");
+        for policy in [PrecisionPolicy::fp64(), PrecisionPolicy::mixed()] {
+            let opts = FockOptions::default().with_precision(policy);
+            let op = || FockOperator::with_options(&sys.grid, 0.2, default_backend().clone(), opts);
+            let serial = op().apply_diag(&nat_r, &e.values, &phi_r);
+            let scale = serial.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
+            // fp64: the serial apply up to summation order; mixed: the
+            // fp32 apply tolerance.
+            let reduced = policy.exchange.reduced();
+            let tol = if reduced { 1e-4 * scale.max(1.0) } else { 1e-9 };
+            for strategy in [
+                ExchangeStrategy::Bcast,
+                ExchangeStrategy::Ring,
+                ExchangeStrategy::AsyncRing,
+                ExchangeStrategy::RingOverlap,
+            ] {
+                let out = Cluster::ideal(2).run(|c| {
+                    let dist = BandDistribution::new(4, c.size());
+                    let my = dist.range(c.rank());
+                    let fock = op();
+                    let nat_local_r = nat_r[my.start * ng..my.end * ng].to_vec();
+                    let psi_local_r = phi_r[my.start * ng..my.end * ng].to_vec();
+                    let vx = dist_fock_apply(
+                        c,
+                        &fock,
+                        &dist,
+                        &nat_local_r,
+                        &e.values,
+                        &psi_local_r,
+                        strategy,
+                    );
+                    // Compare against the serial slice.
+                    let want = &serial[my.start * ng..my.end * ng];
+                    (pwnum::cvec::max_abs_diff(&vx, want), fock.counters().snapshot().1)
+                });
+                for ((d, fp32_solves), _) in &out {
+                    assert!(*d < tol, "{strategy:?} {policy:?}: Fock mismatch {d}");
+                    if reduced {
+                        assert!(*fp32_solves > 0, "{strategy:?}: no fp32 solves recorded");
+                    }
+                }
             }
         }
     }

@@ -16,9 +16,10 @@
 //! in for MPI progress. The hidden-vs-visible split of each transfer is
 //! recorded by the runtime ([`mpisim::Stats::overlap_efficiency`]).
 //!
-//! At `grid_ranks == 1` the pair solves run through the batched
-//! pair-tile schedulers of [`FockOperator`] — the PR-3 Hermitian
-//! symmetric scheduler and the PR-4 [`pwnum::precision::PrecisionPolicy`]
+//! Both kernels run the serial operator's pair schedule
+//! ([`FockOperator::pair_schedule`]). At `grid_ranks == 1` the pair
+//! solves run through the operator's own apply — the Hermitian
+//! symmetric halving and the [`pwnum::precision::PrecisionPolicy`]
 //! apply unchanged. At `grid_ranks > 1` each pair density lives in
 //! slabs and the screened-Poisson round trip runs on the distributed
 //! [`DistFft3`] (fp64; the slab path is precision-policy-neutral).
@@ -27,6 +28,7 @@ use crate::distributed::BandDistribution;
 use mpisim::{Comm, Request};
 use pwdft::FockOperator;
 use pwfft::DistFft3;
+use pwnum::bands::{band, band_mut};
 use pwnum::complex::Complex64;
 use pwnum::parallel::block_range;
 
@@ -151,7 +153,7 @@ pub struct RingOverlapReport {
 /// Charges `solves` worth of modeled Poisson compute to the virtual
 /// clock and probes the pending ring transfer — the progress hook
 /// between pair tiles.
-fn progress(
+pub(crate) fn progress(
     comm: &mut Comm,
     solve_cost_s: f64,
     solves: usize,
@@ -268,12 +270,15 @@ pub fn ring_overlap_fock_apply(
     (out, report)
 }
 
-/// `grid_ranks == 1` block kernel: pair tiles through the operator's
-/// batched schedulers (symmetric halving on the diagonal block,
-/// per-target batches off it), so occupation screening, tile arenas and
-/// the precision policy behave exactly as in the serial operator.
+/// `grid_ranks == 1` block kernel, shared by every band-ring strategy of
+/// [`crate::distributed::dist_fock_apply`]: pair tiles through the
+/// operator's own apply (symmetric halving on the diagonal block,
+/// per-target batches off it), so the pair schedule, occupation
+/// screening, tile arenas and the precision policy behave exactly as in
+/// the serial operator. `pending` is the ring transfer to probe between
+/// tiles (`None` on the blocking strategies).
 #[allow(clippy::too_many_arguments)]
-fn process_block_banded(
+pub(crate) fn process_block_banded(
     comm: &mut Comm,
     fock: &FockOperator,
     block: &[Complex64],
@@ -320,13 +325,14 @@ fn process_block_banded(
 /// `grid_ranks > 1` block kernel: each pair density is formed slab-wise,
 /// the screened-Poisson round trip runs on the row's distributed FFT
 /// (so all grid ranks of the row execute the same solve sequence), and
-/// the weighted scatter is slab-local. Mirrors the serial scheduler's
-/// pair set: `i ≤ j` halving with per-side occupation screening on the
-/// diagonal block, one-sided pairs elsewhere.
+/// the weighted scatter is slab-local. The pairs are the serial
+/// operator's [`FockOperator::pair_schedule`]: `i ≤ j` halving with
+/// per-side occupation screening on the diagonal block, one-sided
+/// target-major pairs elsewhere.
 ///
-/// The loop structure depends only on replicated metadata (`occ_src`,
-/// band counts) — never on slab contents — so every grid rank of the
-/// row, including ranks whose slab happens to be empty, issues the same
+/// The schedule depends only on replicated metadata (`occ_src`, band
+/// counts) — never on slab contents — so every grid rank of the row,
+/// including ranks whose slab happens to be empty, issues the same
 /// collective solve sequence.
 #[allow(clippy::too_many_arguments)]
 fn process_block_slab(
@@ -344,78 +350,26 @@ fn process_block_slab(
     report: &mut RingOverlapReport,
 ) {
     let slab = dfft.local_len(dfft.group_index(comm.rank()));
-    let nb = occ_src.len();
     assert_eq!(psi_local.len(), n_tgt * slab, "target slab layout mismatch");
-    assert_eq!(block.len(), nb * slab, "source slab layout mismatch");
-    let cutoff = fock.options().occ_cutoff;
+    assert_eq!(block.len(), occ_src.len() * slab, "source slab layout mismatch");
     let kernel = fock.kernel_table();
     let be = &**fock.backend();
     let fft_lines0 = dfft.transform_count();
     let mut pair = vec![Complex64::ZERO; slab];
-
-    let solve = |comm: &mut Comm,
-                 pair: &mut [Complex64],
-                 report: &mut RingOverlapReport| {
-        dfft.convolve_slab(comm, pair, kernel);
+    let (tasks, _) = fock.pair_schedule(occ_src, n_tgt, diag_symmetric);
+    let tgt = if diag_symmetric { block } else { psi_local };
+    for t in &tasks {
+        be.hadamard_conj(band(block, slab, t.i), band(tgt, slab, t.j), &mut pair);
+        dfft.convolve_slab(comm, &mut pair, kernel);
         report.solves += 1;
         progress(comm, solve_cost_s, 1, pending, report);
-    };
-
-    if diag_symmetric {
-        debug_assert_eq!(n_tgt, nb);
-        for bi in 0..nb {
-            let di = occ_src[bi];
-            let di_on = di.abs() >= cutoff;
-            for bj in bi..nb {
-                let dj = occ_src[bj];
-                let dj_on = bi != bj && dj.abs() >= cutoff;
-                if !di_on && !dj_on {
-                    continue;
-                }
-                be.hadamard_conj(
-                    &block[bi * slab..(bi + 1) * slab],
-                    &block[bj * slab..(bj + 1) * slab],
-                    &mut pair,
-                );
-                solve(comm, &mut pair, report);
-                if di_on {
-                    be.hadamard_acc(
-                        Complex64::from_re(-di),
-                        &pair,
-                        &block[bi * slab..(bi + 1) * slab],
-                        &mut out[bj * slab..(bj + 1) * slab],
-                    );
-                }
-                if dj_on {
-                    be.hadamard_acc_conj(
-                        Complex64::from_re(-dj),
-                        &pair,
-                        &block[bj * slab..(bj + 1) * slab],
-                        &mut out[bi * slab..(bi + 1) * slab],
-                    );
-                }
-            }
+        if t.w_fwd != 0.0 {
+            let src = band(block, slab, t.i);
+            be.hadamard_acc(Complex64::from_re(t.w_fwd), &pair, src, band_mut(out, slab, t.j));
         }
-    } else {
-        for bi in 0..nb {
-            let d = occ_src[bi];
-            if d.abs() < cutoff {
-                continue;
-            }
-            for j in 0..n_tgt {
-                be.hadamard_conj(
-                    &block[bi * slab..(bi + 1) * slab],
-                    &psi_local[j * slab..(j + 1) * slab],
-                    &mut pair,
-                );
-                solve(comm, &mut pair, report);
-                be.hadamard_acc(
-                    Complex64::from_re(-d),
-                    &pair,
-                    &block[bi * slab..(bi + 1) * slab],
-                    &mut out[j * slab..(j + 1) * slab],
-                );
-            }
+        if t.w_rev != 0.0 {
+            let src = band(tgt, slab, t.j);
+            be.hadamard_acc_conj(Complex64::from_re(t.w_rev), &pair, src, band_mut(out, slab, t.i));
         }
     }
     report.dist_fft_lines += dfft.transform_count() - fft_lines0;

@@ -193,81 +193,111 @@ fn two_d_grid_matches_serial_with_fft_counters() {
     // size (6 = 3 groups × 2 grid ranks). Pair solves run on the
     // slab-distributed FFT; results must still match the serial
     // operator, and the distributed-FFT line counter must show 2 grid
-    // sweeps (forward + inverse) per solve.
+    // sweeps (forward + inverse) per solve. The second occupation set
+    // has a zero tail, so the slab kernel's screening must skip exactly
+    // the pairs the serial operator skips.
     let f = fixture();
     let ng = f.sys.grid.len();
     let (n0, n1, n2) = (6, 6, 6);
     let fock = FockOperator::new(&f.sys.grid, 0.2);
-    let serial_asym = fock.apply_diag(&f.nat_r, &f.occ, &f.psi_r);
-    let serial_sym = fock.apply_pure(&f.nat_r, &f.occ);
-    for (groups, grid_ranks) in [(2usize, 2usize), (3, 2), (2, 3)] {
-        let p = groups * grid_ranks;
-        for symmetric in [false, true] {
-            let serial = if symmetric { &serial_sym } else { &serial_asym };
-            let out = Cluster::ideal(p).run(|c| {
-                let pgrid = ProcessGrid::new(c.size(), groups);
-                let (bg, _) = pgrid.coords(c.rank());
-                let dist = BandDistribution::new(N_BANDS, groups);
-                let fock = FockOperator::new(&f.sys.grid, 0.2);
-                let dfft = DistFft3::new(n0, n1, n2, pgrid.row_members(bg));
-                let nat_local =
-                    scatter_slab(&f.nat_r, ng, &pgrid, &dist, Some(&dfft), c.rank());
-                let psi_local =
-                    scatter_slab(&f.psi_r, ng, &pgrid, &dist, Some(&dfft), c.rank());
-                let (vx, report) = if symmetric {
-                    ring_overlap_fock_apply(
-                        c,
-                        &fock,
-                        &pgrid,
-                        &dist,
-                        Some(&dfft),
-                        &nat_local,
-                        &f.occ,
-                        &nat_local,
-                        0.0,
-                    )
-                } else {
-                    ring_overlap_fock_apply(
-                        c,
-                        &fock,
-                        &pgrid,
-                        &dist,
-                        Some(&dfft),
-                        &nat_local,
-                        &f.occ,
-                        &psi_local,
-                        0.0,
-                    )
-                };
-                // Serial slice for this rank: its group's bands, its slab.
-                let want = scatter_slab(serial, ng, &pgrid, &dist, Some(&dfft), c.rank());
-                (max_abs_diff(&vx, &want), report.solves, report.dist_fft_lines)
-            });
-            for (rank, ((d, _, _), _)) in out.iter().enumerate() {
-                assert!(
-                    *d < 1e-10,
-                    "groups={groups} grid={grid_ranks} sym={symmetric} rank={rank}: {d}"
-                );
-            }
-            // FFT-counter assertion: every row performs the same solve
-            // sequence, and the row-summed line count per solve is the
-            // full 3-D sweep twice (forward + inverse).
-            let pgrid = ProcessGrid::new(p, groups);
-            for bg in 0..groups {
-                let row = pgrid.row_members(bg);
-                let row_solves = out[row[0]].0 .1;
-                for &r in &row {
-                    assert_eq!(out[r].0 .1, row_solves, "row must share the solve count");
+    let mut occ_tail = f.occ.clone();
+    occ_tail[N_BANDS - 2..].fill(0.0);
+    for occ in [&f.occ, &occ_tail] {
+        let (serial_asym, stats_asym) = fock.apply_diag_stats(&f.nat_r, occ, &f.psi_r);
+        let serial_sym = fock.apply_pure(&f.nat_r, occ);
+        for (groups, grid_ranks) in [(2usize, 2usize), (3, 2), (2, 3)] {
+            let p = groups * grid_ranks;
+            let dist = BandDistribution::new(N_BANDS, groups);
+            for symmetric in [false, true] {
+                let serial = if symmetric { &serial_sym } else { &serial_asym };
+                let out = Cluster::ideal(p).run(|c| {
+                    let pgrid = ProcessGrid::new(c.size(), groups);
+                    let (bg, _) = pgrid.coords(c.rank());
+                    let fock = FockOperator::new(&f.sys.grid, 0.2);
+                    let dfft = DistFft3::new(n0, n1, n2, pgrid.row_members(bg));
+                    let nat_local =
+                        scatter_slab(&f.nat_r, ng, &pgrid, &dist, Some(&dfft), c.rank());
+                    let psi_local =
+                        scatter_slab(&f.psi_r, ng, &pgrid, &dist, Some(&dfft), c.rank());
+                    let (vx, report) = if symmetric {
+                        ring_overlap_fock_apply(
+                            c,
+                            &fock,
+                            &pgrid,
+                            &dist,
+                            Some(&dfft),
+                            &nat_local,
+                            occ,
+                            &nat_local,
+                            0.0,
+                        )
+                    } else {
+                        ring_overlap_fock_apply(
+                            c,
+                            &fock,
+                            &pgrid,
+                            &dist,
+                            Some(&dfft),
+                            &nat_local,
+                            occ,
+                            &psi_local,
+                            0.0,
+                        )
+                    };
+                    // Serial slice for this rank: its group's bands, its slab.
+                    let want = scatter_slab(serial, ng, &pgrid, &dist, Some(&dfft), c.rank());
+                    (max_abs_diff(&vx, &want), report.solves, report.dist_fft_lines)
+                });
+                for (rank, ((d, _, _), _)) in out.iter().enumerate() {
+                    assert!(
+                        *d < 1e-10,
+                        "groups={groups} grid={grid_ranks} sym={symmetric} rank={rank}: {d}"
+                    );
                 }
-                let row_lines: u64 = row.iter().map(|&r| out[r].0 .2).sum();
-                // One 3-D sweep, summed over the row: n0·n1 axis-2 lines,
-                // n0·n2 axis-1 lines, n1·n2 axis-0 lines.
-                let lines_per_sweep = (n0 * n1 + n0 * n2 + n1 * n2) as u64;
-                assert_eq!(
-                    row_lines,
-                    2 * lines_per_sweep * row_solves as u64,
-                    "groups={groups} bg={bg}: FFT line count"
-                );
+                // FFT-counter assertion: every row performs the same solve
+                // sequence, and the row-summed line count per solve is the
+                // full 3-D sweep twice (forward + inverse).
+                let pgrid = ProcessGrid::new(p, groups);
+                let mut total_solves = 0;
+                for bg in 0..groups {
+                    let row = pgrid.row_members(bg);
+                    let row_solves = out[row[0]].0 .1;
+                    for &r in &row {
+                        assert_eq!(out[r].0 .1, row_solves, "row must share the solve count");
+                    }
+                    let row_lines: u64 = row.iter().map(|&r| out[r].0 .2).sum();
+                    // One 3-D sweep, summed over the row: n0·n1 axis-2 lines,
+                    // n0·n2 axis-1 lines, n1·n2 axis-0 lines.
+                    let lines_per_sweep = (n0 * n1 + n0 * n2 + n1 * n2) as u64;
+                    assert_eq!(
+                        row_lines,
+                        2 * lines_per_sweep * row_solves as u64,
+                        "groups={groups} bg={bg}: FFT line count"
+                    );
+                    // Screening: the row solves exactly what the serial
+                    // operator solves for its blocks — the Hermitian
+                    // apply on the diagonal block (symmetric case), the
+                    // per-target apply on every other source block.
+                    let tgt = dist.range(bg);
+                    let mut want = 0;
+                    for src_group in 0..groups {
+                        let src = dist.range(src_group);
+                        let src_r = &f.nat_r[src.start * ng..src.end * ng];
+                        want += if symmetric && src_group == bg {
+                            fock.apply_pure_stats(src_r, &occ[src]).1.solves
+                        } else {
+                            let tgt_r = if symmetric { &f.nat_r } else { &f.psi_r };
+                            let tgt_r = &tgt_r[tgt.start * ng..tgt.end * ng];
+                            fock.apply_diag_stats(src_r, &occ[src], tgt_r).1.solves
+                        };
+                    }
+                    assert_eq!(row_solves, want, "groups={groups} bg={bg}: screened solves");
+                    total_solves += row_solves;
+                }
+                if !symmetric {
+                    // One-sided pairs partition the serial pair set.
+                    assert_eq!(total_solves, stats_asym.solves, "groups={groups}: total");
+                }
             }
         }
     }

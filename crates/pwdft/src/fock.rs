@@ -68,9 +68,6 @@ pub struct FockOptions {
     /// targets (two-sum compensated under
     /// [`StagePrecision::Fp32Promoted`](pwnum::precision::StagePrecision)).
     /// Default: all-fp64 — bit-identical to the pre-subsystem behavior.
-    /// Only the *batched* schedulers honor the reduced stages; the
-    /// per-pair distributed entry points ([`FockOperator::accumulate_pair`],
-    /// [`FockOperator::accumulate_pair_sym`]) always run fp64.
     pub precision: PrecisionPolicy,
     /// Take the fused pair-solve pipeline (default): each pair density
     /// runs demote → forward FFT → K(G) multiply → inverse FFT →
@@ -79,30 +76,17 @@ pub struct FockOptions {
     /// instead of staging `tile_bands` pair grids through a tile arena
     /// between the density, solve and scatter loops. Bitwise identical
     /// to the staged scheduler (the backends' fused convolve is exact);
-    /// `false` restores the staged tile pipeline (the distributed
-    /// engines still use it for overlap batching).
+    /// `false` restores the staged tile pipeline.
     pub fused: bool,
-    /// Construction guard: [`FockOptions`] should be built from
-    /// [`FockOptions::default`] (struct update or the `with_*` builders)
-    /// so `tile_bands` resolves through the autotuning table
-    /// ([`pwnum::tuning`]). Naming this field — the only way to write a
-    /// full literal — warns.
-    #[deprecated(
-        note = "use FockOptions::default() + struct update / with_* builders \
-                so tile_bands resolves through the pwnum tuning table"
-    )]
-    pub _bypass_tuning: (),
 }
 
 impl Default for FockOptions {
-    #[allow(deprecated)]
     fn default() -> Self {
         FockOptions {
             occ_cutoff: DEFAULT_OCC_CUTOFF,
             tile_bands: pwnum::tuning::default_tile_bands(),
             precision: PrecisionPolicy::fp64(),
             fused: true,
-            _bypass_tuning: (),
         }
     }
 }
@@ -409,14 +393,15 @@ impl<'g> FockOperator<'g> {
     /// block, but PT-IM also applies it to trial vectors).
     ///
     /// When `psi_r` *aliases* `phi_r` (ACE rebuilds, [`Self::apply_pure`],
-    /// [`Self::apply_mixed_diag`]) the Hermitian pair-symmetric scheduler
-    /// runs — `i ≤ j` pairs only, ~half the Poisson solves; otherwise the
-    /// asymmetric per-target batch path. Both are screened by
-    /// [`FockOptions::occ_cutoff`]. Under the default
-    /// [`FockOptions::fused`] each surviving pair runs density → Poisson
-    /// round trip → scatter in one fused pass over two pooled grids
+    /// [`Self::apply_mixed_diag`]) the schedule is Hermitian
+    /// pair-symmetric — `i ≤ j` pairs only, ~half the Poisson solves;
+    /// otherwise one pair per (occupied source, target). Both are
+    /// screened by [`FockOptions::occ_cutoff`] (see
+    /// [`Self::pair_schedule`]). Under the default [`FockOptions::fused`]
+    /// each pair runs density → Poisson round trip → scatter in one fused
+    /// pass over two pooled grids
     /// ([`pwnum::backend::Backend::fused_pair_solve`]); with fusion off
-    /// they are tiled to [`FockOptions::tile_bands`] pairs per batched
+    /// the pairs are tiled to [`FockOptions::tile_bands`] per batched
     /// solve through one pooled tile arena. The two pipelines are
     /// bitwise identical.
     pub fn apply_diag(
@@ -437,398 +422,221 @@ impl<'g> FockOperator<'g> {
         psi_r: &[Complex64],
     ) -> (Vec<Complex64>, FockApplyStats) {
         let _s = pwobs::span("xch.apply");
-        let symmetric =
-            phi_r.as_ptr() == psi_r.as_ptr() && phi_r.len() == psi_r.len();
-        if symmetric {
-            self.apply_pair_symmetric(phi_r, d)
-        } else {
-            self.apply_asymmetric(phi_r, d, psi_r)
-        }
+        let ng = self.ng();
+        assert_eq!(d.len(), bands::n_bands(phi_r, ng));
+        let n_tgt = bands::n_bands(psi_r, ng);
+        let (tasks, mut stats) = self.pair_schedule(d, n_tgt, std::ptr::eq(phi_r, psi_r));
+        let mut out = vec![Complex64::ZERO; n_tgt * ng];
+        stats.solves_fp32 = self.run_pairs(phi_r, psi_r, &tasks, &mut out);
+        (out, stats)
     }
 
-    /// The Hermitian pair-symmetric scheduler (targets = sources): with a
-    /// real kernel, `W_ji = conj(W_ij)`, so each `i ≤ j` pair is solved
-    /// once and scattered into both accumulators —
-    /// `out_j += -d_i·W_ij⊙φ_i` and, for `i ≠ j`,
-    /// `out_i += -d_j·conj(W_ij)⊙φ_j`. Contributions are screened per
-    /// driving weight; a pair whose both sides are screened is never
-    /// solved.
-    fn apply_pair_symmetric(
+    /// The exchange pair schedule: which `(i, j)` pair solves an apply
+    /// over sources with occupations `d` and `n_tgt` target bands runs,
+    /// with which scatter weights, in which order — decided here once
+    /// for the serial operator, the band-ring engines (which call the
+    /// operator's apply per block) and the slab kernel of the 2-D grid.
+    /// Returns the tasks plus the screening stats (`solves` is the task
+    /// count; `solves_fp32` is left to the executor).
+    ///
+    /// * `symmetric` (targets are the sources, `n_tgt == d.len()`): with
+    ///   a real kernel `W_ji = conj(W_ij)`, so each lexicographic `i ≤ j`
+    ///   pair is solved once and scattered into both targets —
+    ///   `out_j += -d_i·W_ij⊙φ_i` and, for `i ≠ j`,
+    ///   `out_i += -d_j·conj(W_ij)⊙φ_j`. Each side is screened by its
+    ///   own weight; a pair whose both sides are screened is skipped.
+    ///   Lexicographic order keeps every target accumulating its sources
+    ///   in ascending band order, matching the asymmetric order.
+    /// * otherwise: target-major, occupied sources ascending, forward
+    ///   scatters only — the paper's per-target batches (Sec. III-B b).
+    ///   A screened source is dropped for every target, and its weight
+    ///   reported once per contribution.
+    pub fn pair_schedule(
         &self,
-        phi_r: &[Complex64],
         d: &[f64],
-    ) -> (Vec<Complex64>, FockApplyStats) {
-        let ng = self.ng();
-        let n = bands::n_bands(phi_r, ng);
-        assert_eq!(d.len(), n);
-        let mut out = vec![Complex64::ZERO; n * ng];
-        let mut stats = FockApplyStats { symmetric: true, ..Default::default() };
+        n_tgt: usize,
+        symmetric: bool,
+    ) -> (Vec<PairTask>, FockApplyStats) {
         let cutoff = self.opts.occ_cutoff;
-        // Enumerate surviving pairs. Lexicographic (i, j) order means
-        // every target still accumulates its sources in ascending band
-        // order, matching the asymmetric path's summation order.
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(n * (n + 1) / 2);
-        for i in 0..n {
-            let fwd = d[i].abs() >= cutoff; // drives out_j
-            for j in i..n {
-                let rev = i != j && d[j].abs() >= cutoff; // drives out_i
-                if fwd || rev {
-                    pairs.push((i as u32, j as u32));
-                    if !fwd {
-                        stats.skipped_weight += d[i].abs();
-                    }
-                    if i != j && !rev {
-                        stats.skipped_weight += d[j].abs();
-                    }
-                } else {
-                    stats.skipped_pairs += 1;
-                    stats.skipped_weight +=
-                        d[i].abs() + if i != j { d[j].abs() } else { 0.0 };
-                }
-            }
-        }
-        if pairs.is_empty() {
-            return (out, stats);
-        }
-        let be = &*self.backend;
-        let tile = self.opts.tile_bands.min(pairs.len());
-        if self.opts.precision.exchange.reduced() {
-            // Mixed-precision path: demote the orbital block once, form
-            // pair densities and solve the screened Poisson round trips
-            // at the fft stage's precision, and accumulate each solved
-            // W_ij into the fp64 targets (two-sum compensated under
-            // Fp32Promoted).
-            let phi32 = precision::demote(phi_r);
-            if self.opts.fused {
-                if let Some(kit) = &self.fp32 {
-                    // Fused fp32 pipeline: one pooled pair grid + one
-                    // pooled scratch arena for every pair — no demoted
-                    // tile buffer between the density, solve and
-                    // promote-scatter stages.
-                    let mut tasks = Vec::with_capacity(pairs.len());
-                    for &(i, j) in &pairs {
-                        let (i, j) = (i as usize, j as usize);
-                        let fwd = d[i].abs() >= cutoff;
-                        let rev = i != j && d[j].abs() >= cutoff;
-                        stats.contributions += usize::from(fwd) + usize::from(rev);
+        let on = |w: f64| w.abs() >= cutoff;
+        let n = d.len();
+        let mut stats = FockApplyStats { symmetric, ..Default::default() };
+        let mut tasks = Vec::new();
+        if symmetric {
+            assert_eq!(n_tgt, n, "a symmetric schedule's targets are its sources");
+            tasks.reserve(n * (n + 1) / 2);
+            for i in 0..n {
+                let fwd = on(d[i]); // drives out_j
+                for j in i..n {
+                    let rev = i != j && on(d[j]); // drives out_i
+                    if fwd || rev {
                         tasks.push(PairTask {
                             i,
                             j,
                             w_fwd: if fwd { -d[i] } else { 0.0 },
                             w_rev: if rev { -d[j] } else { 0.0 },
                         });
-                    }
-                    stats.solves += tasks.len();
-                    stats.solves_fp32 += tasks.len();
-                    let mut comp: Option<Vec<Complex64>> = self
-                        .opts
-                        .precision
-                        .exchange
-                        .compensated()
-                        .then(|| be.take_buffer(n * ng));
-                    be.fused_pair_solve32(
-                        &kit.fft.convolve_pass(&kit.kg, be),
-                        phi32.as_slice(),
-                        phi32.as_slice(),
-                        ng,
-                        &tasks,
-                        &mut out,
-                        comp.as_deref_mut(),
-                    );
-                    self.counters.add_fp32(tasks.len());
-                    if let Some(c) = comp {
-                        be.recycle_buffer(c);
-                    }
-                    return (out, stats);
-                }
-                // No fp32 FFT kit (fp64 fft stage): the promoted
-                // half-path keeps the staged tile pipeline, which
-                // amortizes the per-tile promote/demote round trip.
-            }
-            // Pooled zeroed buffer: the compensation array is output-
-            // sized and would otherwise be a fresh allocation per apply.
-            let mut comp: Option<Vec<Complex64>> = self
-                .opts
-                .precision
-                .exchange
-                .compensated()
-                .then(|| be.take_buffer(n * ng));
-            let mut arena = be.take_scratch32(tile * ng);
-            for chunk in pairs.chunks(tile) {
-                let m = chunk.len();
-                for (s, &(i, j)) in chunk.iter().enumerate() {
-                    be.hadamard_conj32(
-                        &phi32[i as usize * ng..(i as usize + 1) * ng],
-                        &phi32[j as usize * ng..(j as usize + 1) * ng],
-                        &mut arena[s * ng..(s + 1) * ng],
-                    );
-                }
-                stats.solves_fp32 += self.poisson_tile32(&mut arena[..m * ng], m);
-                stats.solves += m;
-                for (s, &(i, j)) in chunk.iter().enumerate() {
-                    let (i, j) = (i as usize, j as usize);
-                    let pair = &arena[s * ng..(s + 1) * ng];
-                    if d[i].abs() >= cutoff {
-                        be.hadamard_acc_promote(
-                            -d[i],
-                            pair,
-                            &phi32[i * ng..(i + 1) * ng],
-                            &mut out[j * ng..(j + 1) * ng],
-                            comp.as_mut().map(|c| &mut c[j * ng..(j + 1) * ng]),
-                        );
-                        stats.contributions += 1;
-                    }
-                    if i != j && d[j].abs() >= cutoff {
-                        be.hadamard_acc_promote_conj(
-                            -d[j],
-                            pair,
-                            &phi32[j * ng..(j + 1) * ng],
-                            &mut out[i * ng..(i + 1) * ng],
-                            comp.as_mut().map(|c| &mut c[i * ng..(i + 1) * ng]),
-                        );
-                        stats.contributions += 1;
+                        stats.contributions += usize::from(fwd) + usize::from(rev);
+                        if !fwd {
+                            stats.skipped_weight += d[i].abs();
+                        }
+                        if i != j && !rev {
+                            stats.skipped_weight += d[j].abs();
+                        }
+                    } else {
+                        stats.skipped_pairs += 1;
+                        stats.skipped_weight +=
+                            d[i].abs() + if i != j { d[j].abs() } else { 0.0 };
                     }
                 }
             }
-            be.recycle_buffer32(arena);
-            if let Some(c) = comp {
-                be.recycle_buffer(c);
+        } else {
+            let occ: Vec<usize> = (0..n).filter(|&i| on(d[i])).collect();
+            let screened: f64 = (0..n).filter(|&i| !on(d[i])).map(|i| d[i].abs()).sum();
+            stats.skipped_pairs = (n - occ.len()) * n_tgt;
+            stats.skipped_weight = screened * n_tgt as f64;
+            tasks.reserve(occ.len() * n_tgt);
+            for j in 0..n_tgt {
+                tasks.extend(occ.iter().map(|&i| PairTask { i, j, w_fwd: -d[i], w_rev: 0.0 }));
             }
-            return (out, stats);
+            stats.contributions = tasks.len();
         }
-        if self.opts.fused {
-            // Fused fp64 pipeline: per pair, density → Poisson round
-            // trip → both scatters over one pooled grid, instead of
-            // staging `tile` pair grids through the arena. Bitwise
-            // identical to the staged loop below (same elementwise
-            // kernels in the same order; the backends' fused convolve
-            // is exact against the staged round trip).
-            let mut tasks = Vec::with_capacity(pairs.len());
-            for &(i, j) in &pairs {
-                let (i, j) = (i as usize, j as usize);
-                let fwd = d[i].abs() >= cutoff;
-                let rev = i != j && d[j].abs() >= cutoff;
-                stats.contributions += usize::from(fwd) + usize::from(rev);
-                tasks.push(PairTask {
-                    i,
-                    j,
-                    w_fwd: if fwd { -d[i] } else { 0.0 },
-                    w_rev: if rev { -d[j] } else { 0.0 },
-                });
-            }
-            stats.solves += tasks.len();
-            be.fused_pair_solve(
-                &self.fft.convolve_pass(&self.kernel.kg, be),
-                phi_r,
-                phi_r,
-                ng,
-                &tasks,
-                &mut out,
-            );
-            self.counters.add_fp64(tasks.len());
-            return (out, stats);
-        }
-        // One pooled tile arena for the whole apply (contents
-        // unspecified: hadamard_conj fully writes each pair grid before
-        // the solve reads it).
-        let mut arena = be.take_scratch(tile * ng);
-        for chunk in pairs.chunks(tile) {
-            let m = chunk.len();
-            for (s, &(i, j)) in chunk.iter().enumerate() {
-                be.hadamard_conj(
-                    bands::band(phi_r, ng, i as usize),
-                    bands::band(phi_r, ng, j as usize),
-                    bands::band_mut(&mut arena, ng, s),
-                );
-            }
-            self.poisson_batch(&mut arena[..m * ng], m);
-            stats.solves += m;
-            for (s, &(i, j)) in chunk.iter().enumerate() {
-                let (i, j) = (i as usize, j as usize);
-                if d[i].abs() >= cutoff {
-                    be.hadamard_acc(
-                        Complex64::from_re(-d[i]),
-                        bands::band(&arena, ng, s),
-                        bands::band(phi_r, ng, i),
-                        bands::band_mut(&mut out, ng, j),
-                    );
-                    stats.contributions += 1;
-                }
-                if i != j && d[j].abs() >= cutoff {
-                    be.hadamard_acc_conj(
-                        Complex64::from_re(-d[j]),
-                        bands::band(&arena, ng, s),
-                        bands::band(phi_r, ng, j),
-                        bands::band_mut(&mut out, ng, i),
-                    );
-                    stats.contributions += 1;
-                }
-            }
-        }
-        be.recycle_buffer(arena);
-        (out, stats)
+        stats.solves = tasks.len();
+        (tasks, stats)
     }
 
-    /// The asymmetric path (distinct target block): one batched Poisson
-    /// solve per target band over the occupied sources — the paper's
-    /// multi-batch strategy (Sec. III-B b) — tiled so scratch is bounded
-    /// by the tile size instead of `n_occ · Ng`.
-    fn apply_asymmetric(
+    /// Runs a [`Self::pair_schedule`] in task order — per pair: density
+    /// `conj(φ_i) ⊙ ψ_j`, screened Poisson round trip, weighted scatters
+    /// into `out` (band-major like `psi_r`) — and returns how many of the
+    /// solves ran in fp32. The execution style follows the options:
+    ///
+    /// * fp64 exchange: fused ([`Backend::fused_pair_solve`]) or staged
+    ///   (`tile_bands` pair grids per batched solve);
+    /// * reduced exchange: sources and targets demoted once, pairs formed
+    ///   and solved in fp32, accumulated into the fp64 `out` (two-sum
+    ///   compensated under `Fp32Promoted`) — fused
+    ///   ([`Backend::fused_pair_solve32`]) when the fp32 FFT kit exists,
+    ///   otherwise staged, which also hosts the promoted half-path (fp64
+    ///   fft stage) by amortizing its promote/demote round trip per tile.
+    ///
+    /// Fused and staged give bitwise-identical results: the same
+    /// elementwise kernels in the same per-target order, and tiles only
+    /// batch independent per-grid round trips.
+    ///
+    /// [`Backend::fused_pair_solve`]: pwnum::backend::Backend::fused_pair_solve
+    /// [`Backend::fused_pair_solve32`]: pwnum::backend::Backend::fused_pair_solve32
+    fn run_pairs(
         &self,
         phi_r: &[Complex64],
-        d: &[f64],
         psi_r: &[Complex64],
-    ) -> (Vec<Complex64>, FockApplyStats) {
+        tasks: &[PairTask],
+        out: &mut [Complex64],
+    ) -> usize {
+        if tasks.is_empty() {
+            return 0;
+        }
         let ng = self.ng();
-        let n_src = bands::n_bands(phi_r, ng);
-        assert_eq!(d.len(), n_src);
-        let n_tgt = bands::n_bands(psi_r, ng);
-        let mut out = vec![Complex64::ZERO; n_tgt * ng];
-        let mut stats = FockApplyStats::default();
-        let cutoff = self.opts.occ_cutoff;
-        // Occupied source bands only: screened bands are dropped for
-        // every target, and their weight reported once per contribution.
-        let occ: Vec<usize> = (0..n_src).filter(|&i| d[i].abs() >= cutoff).collect();
-        let screened: f64 =
-            (0..n_src).filter(|&i| d[i].abs() < cutoff).map(|i| d[i].abs()).sum();
-        stats.skipped_pairs = (n_src - occ.len()) * n_tgt;
-        stats.skipped_weight = screened * n_tgt as f64;
-        if occ.is_empty() || n_tgt == 0 {
-            return (out, stats);
-        }
         let be = &*self.backend;
-        let tile = self.opts.tile_bands.min(occ.len());
-        if self.opts.precision.exchange.reduced() {
-            // Mixed-precision path: demote sources and targets once,
-            // solve per-target batches at the fft stage's precision,
-            // accumulate into fp64.
-            let phi32 = precision::demote(phi_r);
-            let psi32 = precision::demote(psi_r);
+        let tile = self.opts.tile_bands.min(tasks.len());
+        if !self.opts.precision.exchange.reduced() {
             if self.opts.fused {
-                if let Some(kit) = &self.fp32 {
-                    // Fused fp32 pipeline, forward scatters only.
-                    let mut tasks = Vec::with_capacity(occ.len() * n_tgt);
-                    for j in 0..n_tgt {
-                        for &i in &occ {
-                            tasks.push(PairTask { i, j, w_fwd: -d[i], w_rev: 0.0 });
-                        }
-                    }
-                    stats.solves += tasks.len();
-                    stats.solves_fp32 += tasks.len();
-                    stats.contributions += tasks.len();
-                    let mut comp: Option<Vec<Complex64>> = self
-                        .opts
-                        .precision
-                        .exchange
-                        .compensated()
-                        .then(|| be.take_buffer(n_tgt * ng));
-                    be.fused_pair_solve32(
-                        &kit.fft.convolve_pass(&kit.kg, be),
-                        phi32.as_slice(),
-                        psi32.as_slice(),
-                        ng,
-                        &tasks,
-                        &mut out,
-                        comp.as_deref_mut(),
-                    );
-                    self.counters.add_fp32(tasks.len());
-                    if let Some(c) = comp {
-                        be.recycle_buffer(c);
-                    }
-                    return (out, stats);
-                }
-                // fp64 fft stage: keep the staged promoted half-path.
+                let solve = self.fft.convolve_pass(&self.kernel.kg, be);
+                be.fused_pair_solve(&solve, phi_r, psi_r, ng, tasks, out);
+                self.counters.add_fp64(tasks.len());
+                return 0;
             }
-            let mut comp: Option<Vec<Complex64>> = self
-                .opts
-                .precision
-                .exchange
-                .compensated()
-                .then(|| be.take_buffer(n_tgt * ng));
-            let mut arena = be.take_scratch32(tile * ng);
-            for j in 0..n_tgt {
-                let pj = &psi32[j * ng..(j + 1) * ng];
-                for chunk in occ.chunks(tile) {
-                    let m = chunk.len();
-                    for (s, &i) in chunk.iter().enumerate() {
-                        be.hadamard_conj32(
-                            &phi32[i * ng..(i + 1) * ng],
-                            pj,
-                            &mut arena[s * ng..(s + 1) * ng],
-                        );
-                    }
-                    stats.solves_fp32 += self.poisson_tile32(&mut arena[..m * ng], m);
-                    stats.solves += m;
-                    for (s, &i) in chunk.iter().enumerate() {
-                        be.hadamard_acc_promote(
-                            -d[i],
-                            &arena[s * ng..(s + 1) * ng],
-                            &phi32[i * ng..(i + 1) * ng],
-                            &mut out[j * ng..(j + 1) * ng],
-                            comp.as_mut().map(|c| &mut c[j * ng..(j + 1) * ng]),
-                        );
-                        stats.contributions += 1;
-                    }
-                }
-            }
-            be.recycle_buffer32(arena);
-            if let Some(c) = comp {
-                be.recycle_buffer(c);
-            }
-            return (out, stats);
-        }
-        if self.opts.fused {
-            // Fused fp64 pipeline, forward scatters only — the task
-            // order (target-major, sources ascending) matches the
-            // staged per-target batching, so accumulation order and
-            // results are bitwise identical.
-            let mut tasks = Vec::with_capacity(occ.len() * n_tgt);
-            for j in 0..n_tgt {
-                for &i in &occ {
-                    tasks.push(PairTask { i, j, w_fwd: -d[i], w_rev: 0.0 });
-                }
-            }
-            stats.solves += tasks.len();
-            stats.contributions += tasks.len();
-            be.fused_pair_solve(
-                &self.fft.convolve_pass(&self.kernel.kg, be),
-                phi_r,
-                psi_r,
-                ng,
-                &tasks,
-                &mut out,
-            );
-            self.counters.add_fp64(tasks.len());
-            return (out, stats);
-        }
-        let mut arena = be.take_scratch(tile * ng);
-        for j in 0..n_tgt {
-            let pj = bands::band(psi_r, ng, j);
-            for chunk in occ.chunks(tile) {
-                let m = chunk.len();
-                for (s, &i) in chunk.iter().enumerate() {
+            // One pooled tile arena for the whole apply (contents
+            // unspecified: hadamard_conj fully writes each pair grid
+            // before the solve reads it).
+            let mut arena = be.take_scratch(tile * ng);
+            for chunk in tasks.chunks(tile) {
+                for (s, t) in chunk.iter().enumerate() {
                     be.hadamard_conj(
-                        bands::band(phi_r, ng, i),
-                        pj,
+                        bands::band(phi_r, ng, t.i),
+                        bands::band(psi_r, ng, t.j),
                         bands::band_mut(&mut arena, ng, s),
                     );
                 }
-                self.poisson_batch(&mut arena[..m * ng], m);
-                stats.solves += m;
-                let oj = bands::band_mut(&mut out, ng, j);
-                for (s, &i) in chunk.iter().enumerate() {
-                    be.hadamard_acc(
-                        Complex64::from_re(-d[i]),
-                        bands::band(&arena, ng, s),
-                        bands::band(phi_r, ng, i),
-                        oj,
-                    );
-                    stats.contributions += 1;
+                self.poisson_batch(&mut arena[..chunk.len() * ng], chunk.len());
+                for (s, t) in chunk.iter().enumerate() {
+                    let pair = bands::band(&arena, ng, s);
+                    if t.w_fwd != 0.0 {
+                        be.hadamard_acc(
+                            Complex64::from_re(t.w_fwd),
+                            pair,
+                            bands::band(phi_r, ng, t.i),
+                            bands::band_mut(out, ng, t.j),
+                        );
+                    }
+                    if t.w_rev != 0.0 {
+                        be.hadamard_acc_conj(
+                            Complex64::from_re(t.w_rev),
+                            pair,
+                            bands::band(psi_r, ng, t.j),
+                            bands::band_mut(out, ng, t.i),
+                        );
+                    }
                 }
             }
+            be.recycle_buffer(arena);
+            return 0;
         }
-        be.recycle_buffer(arena);
-        (out, stats)
+        let phi32 = precision::demote(phi_r);
+        let psi32_own = (!std::ptr::eq(phi_r, psi_r)).then(|| precision::demote(psi_r));
+        let psi32 = psi32_own.as_deref().unwrap_or(&phi32);
+        // Pooled zeroed buffer: the compensation array is output-sized
+        // and would otherwise be a fresh allocation per apply.
+        let mut comp: Option<Vec<Complex64>> =
+            self.opts.precision.exchange.compensated().then(|| be.take_buffer(out.len()));
+        let solves_fp32 = match (&self.fp32, self.opts.fused) {
+            (Some(kit), true) => {
+                let solve = kit.fft.convolve_pass(&kit.kg, be);
+                be.fused_pair_solve32(&solve, &phi32, psi32, ng, tasks, out, comp.as_deref_mut());
+                self.counters.add_fp32(tasks.len());
+                tasks.len()
+            }
+            _ => {
+                let mut arena = be.take_scratch32(tile * ng);
+                let mut solves_fp32 = 0;
+                for chunk in tasks.chunks(tile) {
+                    for (s, t) in chunk.iter().enumerate() {
+                        be.hadamard_conj32(
+                            &phi32[t.i * ng..(t.i + 1) * ng],
+                            &psi32[t.j * ng..(t.j + 1) * ng],
+                            &mut arena[s * ng..(s + 1) * ng],
+                        );
+                    }
+                    solves_fp32 += self.poisson_tile32(&mut arena[..chunk.len() * ng], chunk.len());
+                    for (s, t) in chunk.iter().enumerate() {
+                        let pair = &arena[s * ng..(s + 1) * ng];
+                        if t.w_fwd != 0.0 {
+                            be.hadamard_acc_promote(
+                                t.w_fwd,
+                                pair,
+                                &phi32[t.i * ng..(t.i + 1) * ng],
+                                &mut out[t.j * ng..(t.j + 1) * ng],
+                                comp.as_mut().map(|c| &mut c[t.j * ng..(t.j + 1) * ng]),
+                            );
+                        }
+                        if t.w_rev != 0.0 {
+                            be.hadamard_acc_promote_conj(
+                                t.w_rev,
+                                pair,
+                                &psi32[t.j * ng..(t.j + 1) * ng],
+                                &mut out[t.i * ng..(t.i + 1) * ng],
+                                comp.as_mut().map(|c| &mut c[t.i * ng..(t.i + 1) * ng]),
+                            );
+                        }
+                    }
+                }
+                be.recycle_buffer32(arena);
+                solves_fp32
+            }
+        };
+        if let Some(c) = comp {
+            be.recycle_buffer(c);
+        }
+        solves_fp32
     }
 
     /// Pure-state operator (Eq. 9): occupations `f` on the orbitals
@@ -870,48 +678,6 @@ impl<'g> FockOperator<'g> {
         be.rotate(&vx_nat, &e.vectors.herm(), ng, &mut out);
         be.recycle_buffer(nat_r);
         (out, stats)
-    }
-
-    /// One weighted pair contribution — the innermost kernel the
-    /// *distributed* Fock evaluation drives directly as source bands
-    /// arrive over the network:
-    /// `out -= weight · src ⊙ Poisson[conj(src) ⊙ tgt]`.
-    /// `pair` is caller-provided scratch of length Ng.
-    pub fn accumulate_pair(
-        &self,
-        src: &[Complex64],
-        tgt: &[Complex64],
-        weight: f64,
-        out: &mut [Complex64],
-        pair: &mut [Complex64],
-    ) {
-        let be = &*self.backend;
-        be.hadamard_conj(src, tgt, pair);
-        self.poisson_batch(pair, 1);
-        be.hadamard_acc(Complex64::from_re(-weight), pair, src, out);
-    }
-
-    /// The pair-symmetric twin of [`Self::accumulate_pair`] for the
-    /// distributed diagonal-block halving: one Poisson solve of
-    /// `W = Poisson[conj(φ_i) ⊙ φ_j]` scattered into both targets —
-    /// `out_j -= w_i · W ⊙ φ_i` and `out_i -= w_j · conj(W) ⊙ φ_j`.
-    /// `pair` is caller-provided scratch of length Ng.
-    #[allow(clippy::too_many_arguments)]
-    pub fn accumulate_pair_sym(
-        &self,
-        src_i: &[Complex64],
-        src_j: &[Complex64],
-        w_i: f64,
-        w_j: f64,
-        out_j: &mut [Complex64],
-        out_i: &mut [Complex64],
-        pair: &mut [Complex64],
-    ) {
-        let be = &*self.backend;
-        be.hadamard_conj(src_i, src_j, pair);
-        self.poisson_batch(pair, 1);
-        be.hadamard_acc(Complex64::from_re(-w_i), pair, src_i, out_j);
-        be.hadamard_acc_conj(Complex64::from_re(-w_j), pair, src_j, out_i);
     }
 
     /// Exchange energy `E_x = Σ_i d_i <φ̃_i|Vx|φ̃_i>` (real, ≤ 0), given
@@ -1253,30 +1019,35 @@ mod tests {
     fn fused_and_staged_schedulers_agree_bitwise() {
         // The fused pair-solve pipeline must reproduce the staged tile
         // scheduler bit-for-bit on both backends and both scheduler
-        // paths: same per-grid round trips, same scatter order.
+        // paths: same per-grid round trips, same scatter order, same
+        // screening (the second occupation set has a zero tail).
         let (grid, fft, wf) = setup(5);
-        let d = vec![1.0, 0.9, 0.5, 0.2, 0.05];
         let phi_r = wf.to_real_all(&fft);
         let psi = phi_r.clone();
-        for name in ["reference", "blocked"] {
-            let be = pwnum::backend::by_name(name).unwrap();
-            let fused =
-                FockOperator::with_options(&grid, 0.2, be.clone(), FockOptions::default());
-            let staged = FockOperator::with_options(
-                &grid,
-                0.2,
-                be,
-                FockOptions::default().with_fused(false),
-            );
-            let (vf, sf) = fused.apply_pure_stats(&phi_r, &d);
-            let (vs, ss) = staged.apply_pure_stats(&phi_r, &d);
-            assert_eq!((sf.solves, sf.contributions), (ss.solves, ss.contributions));
-            assert_eq!(pwnum::cvec::max_abs_diff(&vf, &vs), 0.0, "{name} symmetric");
-            let (af, saf) = fused.apply_diag_stats(&phi_r, &d, &psi);
-            let (ag, sag) = staged.apply_diag_stats(&phi_r, &d, &psi);
-            assert!(!saf.symmetric && !sag.symmetric);
-            assert_eq!((saf.solves, saf.contributions), (sag.solves, sag.contributions));
-            assert_eq!(pwnum::cvec::max_abs_diff(&af, &ag), 0.0, "{name} asymmetric");
+        for d in [vec![1.0, 0.9, 0.5, 0.2, 0.05], vec![1.0, 0.9, 0.5, 0.0, 0.0]] {
+            for name in ["reference", "blocked"] {
+                let be = pwnum::backend::by_name(name).unwrap();
+                let fused =
+                    FockOperator::with_options(&grid, 0.2, be.clone(), FockOptions::default());
+                let staged = FockOperator::with_options(
+                    &grid,
+                    0.2,
+                    be,
+                    FockOptions::default().with_fused(false),
+                );
+                let screening = |s: FockApplyStats| (s.skipped_pairs, s.skipped_weight);
+                let (vf, sf) = fused.apply_pure_stats(&phi_r, &d);
+                let (vs, ss) = staged.apply_pure_stats(&phi_r, &d);
+                assert_eq!((sf.solves, sf.contributions), (ss.solves, ss.contributions));
+                assert_eq!(screening(sf), screening(ss), "{name} symmetric screening");
+                assert_eq!(pwnum::cvec::max_abs_diff(&vf, &vs), 0.0, "{name} symmetric");
+                let (af, saf) = fused.apply_diag_stats(&phi_r, &d, &psi);
+                let (ag, sag) = staged.apply_diag_stats(&phi_r, &d, &psi);
+                assert!(!saf.symmetric && !sag.symmetric);
+                assert_eq!((saf.solves, saf.contributions), (sag.solves, sag.contributions));
+                assert_eq!(screening(saf), screening(sag), "{name} asymmetric screening");
+                assert_eq!(pwnum::cvec::max_abs_diff(&af, &ag), 0.0, "{name} asymmetric");
+            }
         }
     }
 
@@ -1337,8 +1108,7 @@ mod tests {
     #[test]
     fn options_default_resolves_tile_bands_from_tuning() {
         // The default tile size comes from the pwnum tuning table (safe
-        // fallback 32), and the builders override per knob without
-        // naming the deprecated construction-guard field.
+        // fallback 32), and the builders override per knob.
         let o = FockOptions::default();
         assert_eq!(o.tile_bands, pwnum::tuning::default_tile_bands());
         assert!(o.fused);
